@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baseline.SparkSQLBaseline
-import repro.core.exec.Routes
+import repro.core.exec.{Routes, SparkExecutor}
 import repro.core.plan.Optimizer
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
@@ -24,10 +24,11 @@ object Fig7 {
     * subsequent unshred measurement.
     */
   def runShred(sq: Shredder.ShreddedQuery, catalog: Map[String, DataFrame],
-               optimize: repro.core.plan.Plan => repro.core.plan.Plan = Optimizer.full)
+               optimize: repro.core.plan.Plan => repro.core.plan.Plan = Optimizer.full,
+               joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin)
       : Map[String, DataFrame] = {
     var cat = catalog
-    val pipe = new ShredPipeline(optimize)
+    val pipe = new ShredPipeline(optimize, joinImpl)
     for (a <- sq.assignments) {
       val df = pipe.run(Shredder.ShreddedQuery(sq.name, sq.outTpe, Seq(a)), cat)(a.name)
       cat = cat + (a.name -> materialize(df))

@@ -61,13 +61,7 @@ object Fig8 {
       Fig7.unpersistOutputs(sq, c1)
       var c2: Map[String, DataFrame] = cat
       out += measure(spark, table, cfg, "Shred_skew") {
-        var acc = cat
-        val pipe = new repro.shred.ShredPipeline(optAware, SkewOps.skewJoin(skewCfg))
-        for (a <- sq.assignments) {
-          val df = pipe.run(Shredder.ShreddedQuery(sq.name, sq.outTpe, Seq(a)), acc)(a.name)
-          acc = acc + (a.name -> materialize(df))
-        }
-        c2 = acc
+        c2 = Fig7.runShred(sq, cat, optAware, SkewOps.skewJoin(skewCfg))
       }
       Fig7.unpersistOutputs(sq, c2)
 

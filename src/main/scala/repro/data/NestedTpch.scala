@@ -21,7 +21,8 @@ import repro.shred.ShredTypes
   *   - the shredded input as B.1.3-style natural-key projections (labels =
   *     parent join keys), exhibiting input/output label sharing.
   *
-  * `skewFactor` 0–4 controls Zipf skew in Lineitem keys (paper's skewed
+  * `skewFactor` 0–4 routes a growing share of Lineitem rows to 5 heavy
+  * order and part keys (`SynthData.lineitemSkewed`, the paper's skewed
   * generator substitute; see DESIGN.md).
   */
 object NestedTpch {

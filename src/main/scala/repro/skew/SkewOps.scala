@@ -1,6 +1,7 @@
 package repro.skew
 
-import org.apache.spark.sql.{Column, DataFrame}
+import scala.collection.mutable
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.core.exec.SparkExecutor
 
@@ -8,53 +9,74 @@ import repro.core.exec.SparkExecutor
   *
   * A relation is split by sampled *heavy keys* into a light component
   * (shuffled/partitioned as usual) and a heavy component (kept in place,
-  * joined by broadcasting the matching tuples of the other side). The
-  * threshold bounds the number of heavy keys (2.5% ⇒ at most 40 per sampled
-  * partition), keeping the broadcast cheap.
+  * joined by broadcasting the matching tuples of the other side).
   */
 final case class SkewConfig(
-    /** Fraction of sampled tuples a key must reach to be heavy (paper: 2.5%). */
+    /** Share of the sampled tuples a key must reach to be heavy (paper: 2.5%),
+      * both within the partition that reports it and in the whole sample.
+      * A partition reports at most `1 / threshold` keys (40 at 2.5%).
+      */
     threshold: Double = 0.025,
-    /** Sampling fraction used for heavy-key detection (paper: 10%). */
+    /** Bernoulli sampling fraction used for heavy-key detection (paper: 10%). */
     sampleFraction: Double = 0.1,
-    /** Safety bound on the number of heavy keys broadcast. */
+    /** Upper bound on the number of heavy keys returned, the most frequent first. */
     maxHeavyKeys: Int = 64,
+    /** Seed of the sample. */
     seed: Long = 42)
 
 /** A bag split by heavy keys: the paper's skew-triple. */
-final case class SkewTriple(light: DataFrame, heavy: DataFrame, heavyKeys: Seq[Seq[Any]]) {
-  /** The underlying bag (Γ operators merge components; Fig. 6). */
-  def unioned: DataFrame = if (heavyKeys.isEmpty) light else light.unionByName(heavy)
-}
+final case class SkewTriple(light: DataFrame, heavy: DataFrame, heavyKeys: Seq[Seq[Any]])
 
 object SkewOps {
 
-  /** Detect heavy key values of `keys` in `df` by sampling. */
+  /** Detect heavy key values of `keys` in `df` by sampling, in one map-only
+    * Spark job. Each partition counts its own sampled keys and reports its
+    * sample size with the keys that reach `threshold` of it; the driver sums
+    * the reports and keeps the keys whose sum reaches `threshold` of the
+    * whole sample. A key heavy in the whole sample is heavy in at least one
+    * partition, but the sum counts only the partitions that reported it, so
+    * the result is a subset of the keys an exact global count would find.
+    * NULL keys come from outer-padding rows; they never match a join
+    * partner (and `===` cannot select them), so they are never reported.
+    */
   def heavyKeys(df: DataFrame, keys: Seq[String], cfg: SkewConfig = SkewConfig()): Seq[Seq[Any]] = {
-    val sample = df.select(keys.map(col): _*).sample(withReplacement = false, cfg.sampleFraction, cfg.seed)
-    val counts = sample.groupBy(keys.map(col): _*).count().persist()
-    try {
-      val total = counts.agg(sum("count")).collect()(0).getLong(0)
-      if (total == 0) return Seq.empty
-      val cutoff = math.max(1L, (cfg.threshold * total).toLong)
-      counts.filter(col("count") >= cutoff)
-        .orderBy(col("count").desc)
-        .limit(cfg.maxHeavyKeys)
-        .collect()
-        .map(r => keys.indices.map(r.get).toSeq)
-        .toSeq
-        // NULL keys come from outer-padding rows; they never match a join
-        // partner, so splitting them to the heavy side is pointless (and
-        // `===` cannot select them).
-        .filterNot(_.contains(null))
-    } finally { counts.unpersist(); () }
+    val threshold = cfg.threshold
+    val reports = df.select(keys.map(col): _*)
+      .sample(withReplacement = false, cfg.sampleFraction, cfg.seed)
+      .rdd
+      .mapPartitions(rows => Iterator.single(partitionCandidates(rows, threshold)))
+      .collect()
+    val cutoff = math.max(1L, (threshold * reports.map(_._1).sum).toLong)
+    reports.toSeq.flatMap(_._2)
+      .groupMapReduce(_._1)(_._2)(_ + _)
+      .filter(_._2 >= cutoff)
+      .toSeq.sortBy(-_._2)
+      .take(cfg.maxHeavyKeys)
+      .map(_._1)
+  }
+
+  /** A partition's sample size and the non-NULL keys that reach `threshold`
+    * of it, with their counts.
+    */
+  private def partitionCandidates(rows: Iterator[Row], threshold: Double)
+      : (Long, List[(Seq[Any], Long)]) = {
+    val counts = mutable.HashMap.empty[Seq[Any], Long]
+    var n = 0L
+    rows.foreach { r =>
+      n += 1
+      if (!r.anyNull) {
+        val k = r.toSeq
+        counts.update(k, counts.getOrElse(k, 0L) + 1)
+      }
+    }
+    (n, counts.iterator.filter(_._2 >= threshold * n).toList)
   }
 
   private def keyMatch(keys: Seq[String], hk: Seq[Seq[Any]]): Column =
     hk.map(t => keys.zip(t).map { case (k, v) => col(k) === lit(v) }.reduce(_ && _))
       .reduce(_ || _)
 
-  /** Split a bag into its skew-triple given (or detecting) heavy keys. */
+  /** Split a bag into its skew-triple given heavy keys. */
   def split(df: DataFrame, keys: Seq[String], hk: Seq[Seq[Any]]): SkewTriple =
     if (hk.isEmpty) SkewTriple(df, df.limit(0), Seq.empty)
     else {
@@ -63,9 +85,6 @@ object SkewOps {
       val m = coalesce(keyMatch(keys, hk), lit(false))
       SkewTriple(df.filter(!m), df.filter(m), hk)
     }
-
-  def toTriple(df: DataFrame, keys: Seq[String], cfg: SkewConfig = SkewConfig()): SkewTriple =
-    split(df, keys, heavyKeys(df, keys, cfg))
 
   /** Skew-aware join (Fig. 6): the light components shuffle-join; the heavy
     * component of the (larger) left side stays in place and the matching
